@@ -1,6 +1,6 @@
 # Developer entry points. `make tier1` mirrors the CI verify exactly.
 
-.PHONY: tier1 build test test-all test-chaos test-sock test-tuner test-serve fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service
+.PHONY: tier1 build test test-all test-chaos test-sock test-tuner test-serve fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service bench-repo-smoke
 
 tier1: ## the repository's tier-1 verify
 	cargo build --release && cargo test -q
@@ -39,7 +39,8 @@ test-tuner:
 # reference replay on all three fabrics, a warm pool surviving
 # successive rounds, a seeded kill failing exactly one tenant (with
 # rank attribution) while the others stay byte-identical to solo runs,
-# and deadline dumps naming every job they take down
+# deadline dumps naming every job they take down, and the plan cache
+# (one resolved plan per job shape, shared byte-identically)
 test-serve:
 	cargo test --test serve -q
 
@@ -85,6 +86,12 @@ bench-service:
 # every PR by CI so benches cannot rot
 bench-smoke:
 	cargo bench -p bench_suite --benches -- --test
+
+# run every BENCHMARK.json workload for 2 s through that file's exact
+# command and fail unless each reports "correct": true — perfbench is its
+# own package, so `cargo build --workspace` never compiles it
+bench-repo-smoke:
+	scripts/bench_repo_smoke --seconds 2
 
 # refresh the committed wall-clock baseline: the protocols bench plus the
 # steady_state_8proc deployment group (each bench binary overwrites

@@ -65,6 +65,11 @@
 //!   entry's channels in a single pass, instead of one lock round trip per
 //!   message.
 //!
+//! The resolved half — plans, tags, routings — is a [`PlannedBatch`]
+//! ([`NeighborBatch::planned`]). It owns everything it needs, so one
+//! `Arc<PlannedBatch>` can initialize the same shape on many
+//! communicators long after the builder is gone: plan once, init many.
+//!
 //! Each rank gets back a [`BatchRequest`] session: its entries as
 //! [`crate::NeighborRequest`] trait objects, in batch order — the same
 //! objects the single-collective builder returns
@@ -169,8 +174,17 @@ struct EntrySpec<'a> {
     strategy: AssignStrategy,
 }
 
-/// The resolved half of a batch: plans, carved tags, and every rank's
-/// routing, computed once and shared by all ranks' `init_all`.
+/// The resolved half of a batch: plans, carved tags, every rank's
+/// routing, the tag lease and the per-entry backends, computed once and
+/// shared by all ranks' `init_all`.
+///
+/// It borrows nothing, so it can outlive the [`NeighborBatch`] that
+/// resolved it and be shared through an `Arc`: a long-lived caller (the
+/// solve service's plan cache) resolves a job shape once and initializes
+/// every later job of that shape from the same plan. Ranks that init one
+/// plan on distinct communicators (`Comm::dup_for`) get disjoint channels
+/// even though they share its tag bases — channel keys carry the
+/// communicator's context id.
 ///
 /// A [`Backend::Tuned`] entry **expands**: one routing (and tag span)
 /// per shortlisted candidate, all laid out in the same fused sweep, so
@@ -179,15 +193,16 @@ struct EntrySpec<'a> {
 /// [`ExpandedEntry`] maps each batch entry to its slots. `plans` and
 /// `tag_bases` stay per-entry (a tuned entry reports its model-best
 /// candidate until measurement says otherwise).
-struct ResolvedBatch {
+pub struct PlannedBatch {
     plans: Vec<(Protocol, Plan)>,
     tag_bases: Vec<u64>,
     routings: Vec<BatchRankRouting>,
-    /// Held by the batch AND cloned into every request it initializes:
+    /// Held by the plan AND cloned into every request it initializes:
     /// the span frees (and its base becomes re-usable) only when the
-    /// batch and all of its live requests are gone.
+    /// plan and all of its live requests are gone.
     lease: Option<Arc<TagLease>>,
     expanded: Vec<ExpandedEntry>,
+    backends: Vec<Backend>,
 }
 
 /// One entry's slice of the expanded candidate order.
@@ -229,7 +244,7 @@ pub struct NeighborBatch<'a> {
     model: Option<&'a dyn CostModel>,
     tune_policy: Option<TunePolicy>,
     pinned_tag_base: Option<u64>,
-    resolved: OnceLock<ResolvedBatch>,
+    resolved: OnceLock<Arc<PlannedBatch>>,
 }
 
 impl<'a> NeighborBatch<'a> {
@@ -317,203 +332,27 @@ impl<'a> NeighborBatch<'a> {
     /// entry reports its model-best candidate here; the measured winner
     /// is a runtime property (ask the live request's `protocol()`).
     pub fn plans(&self) -> &[(Protocol, Plan)] {
-        &self.resolved().plans
+        self.planned().plans()
     }
 
     /// The tag base carved for each entry, in batch order.
     pub fn tag_bases(&self) -> &[u64] {
-        &self.resolved().tag_bases
+        self.planned().tag_bases()
     }
 
-    /// `MPI_Neighbor_alltoallv_init` × N, as one operation: allocate this
-    /// rank's shared staging arena, open the channel registry once, and
-    /// register every entry's requests in a single pass. Returns the
-    /// rank's [`BatchRequest`] session — every entry's request in batch
-    /// order, plus the completion-driven verbs (`start_all`, `test_any`,
-    /// `wait_any`, `wait_all`) that drive them as one set.
+    /// The resolved batch, computed on first use and shared by every
+    /// rank. Clone the `Arc` to keep the plan after the builder drops —
+    /// the way to resolve a job shape once and initialize it many times.
+    pub fn planned(&self) -> &Arc<PlannedBatch> {
+        self.resolved.get_or_init(|| Arc::new(self.resolve()))
+    }
+
+    /// [`PlannedBatch::init_all`] on this batch's resolved plan.
     pub fn init_all(&self, ctx: &RankCtx, comm: &Comm) -> BatchRequest {
-        let resolved = self.resolved();
-        for (_, plan) in &resolved.plans {
-            assert_eq!(plan.n_ranks, comm.size(), "plan/communicator size mismatch");
-        }
-        let requests: Vec<Box<dyn NeighborRequest>> = if resolved.plans.is_empty() {
-            Vec::new()
-        } else {
-            let br = &resolved.routings[comm.rank()];
-            let arena = shared_buf(vec![0.0f64; br.arena_len]);
-            // clone this rank's routings (the bulk of the per-init
-            // allocation work) BEFORE taking the registry lock: only
-            // channel resolution itself runs inside the world-wide
-            // critical section. Expanded order; each slot inits at most
-            // once per init_all (a cached tuned winner leaves its losing
-            // candidates' slots untouched).
-            let mut routings: Vec<Option<RankRouting>> =
-                br.entries.iter().cloned().map(Some).collect();
-            let mut reg = ctx.chan_registrar();
-            self.entries
-                .iter()
-                .zip(&resolved.expanded)
-                .enumerate()
-                .map(|(i, (spec, ex))| {
-                    let protocol = resolved.plans[i].0;
-                    match (&spec.backend, &ex.tuned) {
-                        (Backend::Partitioned(_), _) => Box::new(PartitionedRequest {
-                            inner: PartitionedNeighbor::from_routing_in(
-                                routings[ex.start].take().expect("expanded slot inits once"),
-                                &mut reg,
-                                comm,
-                            ),
-                            protocol,
-                            _lease: resolved.lease.clone(),
-                        })
-                            as Box<dyn NeighborRequest>,
-                        (_, None) => Box::new(PlainRequest {
-                            inner: PersistentNeighbor::from_routing_in(
-                                routings[ex.start].take().expect("expanded slot inits once"),
-                                &mut reg,
-                                comm,
-                                arena.clone(),
-                                br.arena_off[ex.start].expect("plain entry has an arena window"),
-                            ),
-                            protocol,
-                            _lease: resolved.lease.clone(),
-                        }),
-                        (_, Some(tr)) => {
-                            // one cache consult per process per fabric,
-                            // memoized: every rank — and every later
-                            // epoch on a pooled world — sees the same
-                            // answer, so channel registration never
-                            // diverges mid-process
-                            let fabric = ctx.fabric();
-                            let winner = {
-                                let mut consults =
-                                    tr.consult.lock().expect("consult lock unpoisoned");
-                                match consults.iter().find(|(f, _)| f == fabric) {
-                                    Some(&(_, w)) => w,
-                                    None => {
-                                        let w = tr.policy.profile_dir.as_ref().and_then(|dir| {
-                                            let key = ProfileKey {
-                                                pattern_sig: tr.pattern_sig,
-                                                topo_sig: tr.topo_sig,
-                                                size_bucket: tr.size_bucket,
-                                                fabric: fabric.to_string(),
-                                            };
-                                            // unreadable/corrupt/missing
-                                            // cache, a winner outside
-                                            // today's shortlist (admission
-                                            // factor changed), or an entry
-                                            // measured under an older
-                                            // model-refit generation
-                                            // (policy.fit_version moved on)
-                                            // → probe
-                                            ProfileCache::new(dir)
-                                                .lookup(&key)
-                                                .filter(|e| e.fit_ver >= tr.policy.fit_version)
-                                                .and_then(|e| {
-                                                    tr.candidates
-                                                        .iter()
-                                                        .position(|(p, _, _)| p.name() == e.winner)
-                                                })
-                                        });
-                                        consults.push((fabric.to_string(), w));
-                                        w
-                                    }
-                                }
-                            };
-                            match winner {
-                                // warm start: the cache already knows the
-                                // winner — register only its channels and
-                                // skip the probe phase entirely
-                                Some(w) if tr.policy.recheck_iters == 0 => Box::new(PlainRequest {
-                                    inner: PersistentNeighbor::from_routing_in(
-                                        routings[ex.start + w]
-                                            .take()
-                                            .expect("expanded slot inits once"),
-                                        &mut reg,
-                                        comm,
-                                        arena.clone(),
-                                        br.arena_off[ex.start + w]
-                                            .expect("plain entry has an arena window"),
-                                    ),
-                                    protocol: tr.candidates[w].0,
-                                    _lease: resolved.lease.clone(),
-                                })
-                                    as Box<dyn NeighborRequest>,
-                                // no usable cached winner → full probe; a
-                                // cached winner under a positive spot-check
-                                // budget (`recheck_iters`) → warm-start the
-                                // tuned request: run the winner for the
-                                // warm-up window, then re-probe and
-                                // re-publish, so a stale winner is evicted
-                                // instead of trusted forever
-                                warm => {
-                                    let candidates: Vec<TunedCandidate> = tr
-                                        .candidates
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(c, &(protocol, msgs, bytes))| {
-                                            let slot = ex.start + c;
-                                            TunedCandidate {
-                                                inner: Some(PersistentNeighbor::from_routing_in(
-                                                    routings[slot]
-                                                        .take()
-                                                        .expect("expanded slot inits once"),
-                                                    &mut reg,
-                                                    comm,
-                                                    arena.clone(),
-                                                    br.arena_off[slot]
-                                                        .expect("plain entry has an arena window"),
-                                                )),
-                                                protocol,
-                                                msgs,
-                                                bytes,
-                                            }
-                                        })
-                                        .collect();
-                                    let publish =
-                                        tr.policy.profile_dir.as_ref().map(|dir| PublishSpec {
-                                            cache: ProfileCache::new(dir),
-                                            key: ProfileKey {
-                                                pattern_sig: tr.pattern_sig,
-                                                topo_sig: tr.topo_sig,
-                                                size_bucket: tr.size_bucket,
-                                                fabric: fabric.to_string(),
-                                            },
-                                            fit_ver: tr.policy.fit_version,
-                                        });
-                                    let tuned = TunedNeighbor::new(
-                                        candidates,
-                                        tr.policy.probe_iters,
-                                        tr.ctl_base,
-                                        comm.clone(),
-                                        publish,
-                                        resolved.lease.clone(),
-                                    );
-                                    Box::new(match warm {
-                                        Some(w) => tuned.warm_start(w, tr.policy.recheck_iters),
-                                        None => tuned,
-                                    })
-                                }
-                            }
-                        }
-                    }
-                })
-                .collect()
-        };
-        let n = requests.len();
-        BatchRequest {
-            requests,
-            in_flight: vec![false; n],
-            ready: std::collections::VecDeque::new(),
-            chan_scratch: Vec::new(),
-        }
+        self.planned().init_all(ctx, comm)
     }
 
-    fn resolved(&self) -> &ResolvedBatch {
-        self.resolved.get_or_init(|| self.resolve())
-    }
-
-    fn resolve(&self) -> ResolvedBatch {
+    fn resolve(&self) -> PlannedBatch {
         let default_model;
         let model: &dyn CostModel = match self.model {
             Some(m) => m,
@@ -658,12 +497,216 @@ impl<'a> NeighborBatch<'a> {
             .map(|(mut cands, _)| cands.swap_remove(0))
             .collect();
 
-        ResolvedBatch {
+        PlannedBatch {
             plans,
             tag_bases,
             routings,
             lease,
             expanded,
+            backends: self.entries.iter().map(|e| e.backend).collect(),
+        }
+    }
+}
+
+impl PlannedBatch {
+    /// Every entry's resolved `(protocol, plan)`, in batch order; see
+    /// [`NeighborBatch::plans`].
+    pub fn plans(&self) -> &[(Protocol, Plan)] {
+        &self.plans
+    }
+
+    /// The tag base carved for each entry, in batch order.
+    pub fn tag_bases(&self) -> &[u64] {
+        &self.tag_bases
+    }
+
+    /// Tag spans the plan holds from the process-wide [`TagSpace`]
+    /// (leased or pinned): one per expanded candidate plus one control
+    /// span per tuned entry.
+    pub fn spans(&self) -> u64 {
+        self.lease.as_ref().map_or(0, |l| l.spans())
+    }
+
+    /// `MPI_Neighbor_alltoallv_init` × N, as one operation: allocate this
+    /// rank's shared staging arena, open the channel registry once, and
+    /// register every entry's requests in a single pass. Returns the
+    /// rank's [`BatchRequest`] session — every entry's request in batch
+    /// order, plus the completion-driven verbs (`start_all`, `test_any`,
+    /// `wait_any`, `wait_all`) that drive them as one set.
+    pub fn init_all(&self, ctx: &RankCtx, comm: &Comm) -> BatchRequest {
+        for (_, plan) in &self.plans {
+            assert_eq!(plan.n_ranks, comm.size(), "plan/communicator size mismatch");
+        }
+        let requests: Vec<Box<dyn NeighborRequest>> = if self.plans.is_empty() {
+            Vec::new()
+        } else {
+            let br = &self.routings[comm.rank()];
+            let arena = shared_buf(vec![0.0f64; br.arena_len]);
+            // clone this rank's routings (the bulk of the per-init
+            // allocation work) BEFORE taking the registry lock: only
+            // channel resolution itself runs inside the world-wide
+            // critical section. Expanded order; each slot inits at most
+            // once per init_all (a cached tuned winner leaves its losing
+            // candidates' slots untouched).
+            let mut routings: Vec<Option<RankRouting>> =
+                br.entries.iter().cloned().map(Some).collect();
+            let mut reg = ctx.chan_registrar();
+            self.backends
+                .iter()
+                .zip(&self.expanded)
+                .enumerate()
+                .map(|(i, (backend, ex))| {
+                    let protocol = self.plans[i].0;
+                    match (backend, &ex.tuned) {
+                        (Backend::Partitioned(_), _) => Box::new(PartitionedRequest {
+                            inner: PartitionedNeighbor::from_routing_in(
+                                routings[ex.start].take().expect("expanded slot inits once"),
+                                &mut reg,
+                                comm,
+                            ),
+                            protocol,
+                            _lease: self.lease.clone(),
+                        })
+                            as Box<dyn NeighborRequest>,
+                        (_, None) => Box::new(PlainRequest {
+                            inner: PersistentNeighbor::from_routing_in(
+                                routings[ex.start].take().expect("expanded slot inits once"),
+                                &mut reg,
+                                comm,
+                                arena.clone(),
+                                br.arena_off[ex.start].expect("plain entry has an arena window"),
+                            ),
+                            protocol,
+                            _lease: self.lease.clone(),
+                        }),
+                        (_, Some(tr)) => {
+                            // one cache consult per process per fabric,
+                            // memoized: every rank — and every later
+                            // epoch on a pooled world — sees the same
+                            // answer, so channel registration never
+                            // diverges mid-process
+                            let fabric = ctx.fabric();
+                            let winner = {
+                                let mut consults =
+                                    tr.consult.lock().expect("consult lock unpoisoned");
+                                match consults.iter().find(|(f, _)| f == fabric) {
+                                    Some(&(_, w)) => w,
+                                    None => {
+                                        let w = tr.policy.profile_dir.as_ref().and_then(|dir| {
+                                            let key = ProfileKey {
+                                                pattern_sig: tr.pattern_sig,
+                                                topo_sig: tr.topo_sig,
+                                                size_bucket: tr.size_bucket,
+                                                fabric: fabric.to_string(),
+                                            };
+                                            // unreadable/corrupt/missing
+                                            // cache, a winner outside
+                                            // today's shortlist (admission
+                                            // factor changed), or an entry
+                                            // measured under an older
+                                            // model-refit generation
+                                            // (policy.fit_version moved on)
+                                            // → probe
+                                            ProfileCache::new(dir)
+                                                .lookup(&key)
+                                                .filter(|e| e.fit_ver >= tr.policy.fit_version)
+                                                .and_then(|e| {
+                                                    tr.candidates
+                                                        .iter()
+                                                        .position(|(p, _, _)| p.name() == e.winner)
+                                                })
+                                        });
+                                        consults.push((fabric.to_string(), w));
+                                        w
+                                    }
+                                }
+                            };
+                            match winner {
+                                // warm start: the cache already knows the
+                                // winner — register only its channels and
+                                // skip the probe phase entirely
+                                Some(w) if tr.policy.recheck_iters == 0 => Box::new(PlainRequest {
+                                    inner: PersistentNeighbor::from_routing_in(
+                                        routings[ex.start + w]
+                                            .take()
+                                            .expect("expanded slot inits once"),
+                                        &mut reg,
+                                        comm,
+                                        arena.clone(),
+                                        br.arena_off[ex.start + w]
+                                            .expect("plain entry has an arena window"),
+                                    ),
+                                    protocol: tr.candidates[w].0,
+                                    _lease: self.lease.clone(),
+                                })
+                                    as Box<dyn NeighborRequest>,
+                                // no usable cached winner → full probe; a
+                                // cached winner under a positive spot-check
+                                // budget (`recheck_iters`) → warm-start the
+                                // tuned request: run the winner for the
+                                // warm-up window, then re-probe and
+                                // re-publish, so a stale winner is evicted
+                                // instead of trusted forever
+                                warm => {
+                                    let candidates: Vec<TunedCandidate> = tr
+                                        .candidates
+                                        .iter()
+                                        .enumerate()
+                                        .map(|(c, &(protocol, msgs, bytes))| {
+                                            let slot = ex.start + c;
+                                            TunedCandidate {
+                                                inner: Some(PersistentNeighbor::from_routing_in(
+                                                    routings[slot]
+                                                        .take()
+                                                        .expect("expanded slot inits once"),
+                                                    &mut reg,
+                                                    comm,
+                                                    arena.clone(),
+                                                    br.arena_off[slot]
+                                                        .expect("plain entry has an arena window"),
+                                                )),
+                                                protocol,
+                                                msgs,
+                                                bytes,
+                                            }
+                                        })
+                                        .collect();
+                                    let publish =
+                                        tr.policy.profile_dir.as_ref().map(|dir| PublishSpec {
+                                            cache: ProfileCache::new(dir),
+                                            key: ProfileKey {
+                                                pattern_sig: tr.pattern_sig,
+                                                topo_sig: tr.topo_sig,
+                                                size_bucket: tr.size_bucket,
+                                                fabric: fabric.to_string(),
+                                            },
+                                            fit_ver: tr.policy.fit_version,
+                                        });
+                                    let tuned = TunedNeighbor::new(
+                                        candidates,
+                                        tr.policy.probe_iters,
+                                        tr.ctl_base,
+                                        comm.clone(),
+                                        publish,
+                                        self.lease.clone(),
+                                    );
+                                    Box::new(match warm {
+                                        Some(w) => tuned.warm_start(w, tr.policy.recheck_iters),
+                                        None => tuned,
+                                    })
+                                }
+                            }
+                        }
+                    }
+                })
+                .collect()
+        };
+        let n = requests.len();
+        BatchRequest {
+            requests,
+            in_flight: vec![false; n],
+            ready: std::collections::VecDeque::new(),
+            chan_scratch: Vec::new(),
         }
     }
 }
@@ -924,9 +967,7 @@ mod tests {
             .entry(&a, Backend::Protocol(Protocol::FullNeighbor))
             .entry(&a, Backend::Protocol(Protocol::FullNeighbor))
             .entry(&a, Backend::Protocol(Protocol::PartialNeighbor));
-        batch.plans();
-        let resolved = batch.resolved.get().unwrap();
-        for br in &resolved.routings {
+        for br in &batch.planned().routings {
             let mut offs: Vec<usize> = br.arena_off.iter().map(|o| o.unwrap()).collect();
             let total: usize = br
                 .entries

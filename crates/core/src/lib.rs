@@ -53,7 +53,7 @@ pub mod tune;
 
 pub use agg::{AssignStrategy, Plan, PlanMsg, SlotArena, SlotRef};
 pub use analytic::{init_time, iteration_time, IterationCost};
-pub use batch::{BatchRequest, EntryId, NeighborBatch};
+pub use batch::{BatchRequest, EntryId, NeighborBatch, PlannedBatch};
 pub use collective::{choose_protocol, Protocol};
 pub use exec::PersistentNeighbor;
 pub use exec_partitioned::PartitionedNeighbor;

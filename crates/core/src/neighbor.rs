@@ -48,7 +48,7 @@ use perfmodel::CostModel;
 use std::sync::OnceLock;
 
 /// Which execution strategy backs the collective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// The given protocol on the plain persistent executor.
     Protocol(Protocol),

@@ -694,9 +694,12 @@ pub(crate) struct WorldState {
     transport: Arc<dyn Transport>,
     /// Pre-matched persistent channels, keyed by signature. Entries live
     /// as long as the world (like unmatched mailbox envelopes): the
-    /// simulator has no `MPI_Request_free` counterpart, and registered
-    /// signatures are bounded by what the world's collectives registered.
-    /// A pooled world ([`crate::WorldPool`]) keeps its `WorldState` across
+    /// simulator has no `MPI_Request_free` counterpart, so nothing is
+    /// ever unregistered. That is NOT bounded on a long-lived pool: every
+    /// `Comm::dup_for` context registers fresh signatures, so a solve
+    /// service grows this map by roughly 32 KB per job, forever.
+    /// Reclaiming a freed communicator's channels is ROADMAP item 1
+    /// (`Comm::free`). A pooled world ([`crate::WorldPool`]) keeps its `WorldState` across
     /// epochs, so re-registering the same signature re-attaches to the
     /// (drained) channel — re-init on a warm world is a lookup, not a
     /// rendezvous.

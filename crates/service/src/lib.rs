@@ -28,6 +28,22 @@
 //!   the rank's still-running jobs *with job attribution* (the deadline
 //!   dump names every tenant it takes down), not to a hung world.
 //!
+//! **Plan once, serve many.** Tenants usually share a shape — one
+//! hierarchy, many right-hand sides — so the service resolves each
+//! distinct shape once and keeps the resolved [`PlannedBatch`] (plans,
+//! tag bases, every rank's routing) in a plan cache. The key is
+//! `(topology, backend, patterns)`: the topology and pattern signatures
+//! only pick the hash, and a hit also needs full `==` equality of the
+//! topology, the backend and every pattern, so a signature collision can
+//! never alias two plans. The cache holds at most [`PLAN_CACHE_SPANS`]
+//! tag spans and evicts the least recently used plan to stay under it,
+//! so it never starves the process-wide `TagSpace`; there is no knob.
+//! Tenants that share a cached plan in one epoch also share its tag
+//! bases. That is safe because each job runs on its own
+//! [`mpisim::Comm::dup_for`] context id, and channel keys carry the context id:
+//! the same tags on two dup'd communicators are two disjoint channel
+//! sets (`tests/serve.rs::dup_comm_isolation`).
+//!
 //! Admission control bounds how many jobs a rank *drives* concurrently
 //! ([`SolveService::max_concurrent`]); registration is never bounded —
 //! every queued job's channels are registered (and barrier-synchronized)
@@ -35,14 +51,18 @@
 //! a slow rank is still driving job 0.
 
 mod jobs;
+mod plan_cache;
 mod scheduler;
 
 use std::sync::Arc;
 
 use locality::Topology;
 use mpi_advance::tagspace::{TagLease, TagSpace};
-use mpi_advance::{Backend, CommPattern, EntryId, NeighborBatch, NeighborRequest};
+use mpi_advance::{Backend, CommPattern, EntryId, NeighborRequest, PlannedBatch};
 use mpisim::{RankCtx, World, WorldPool};
+
+use plan_cache::PlanCache;
+pub use plan_cache::PLAN_CACHE_SPANS;
 
 /// Globally-unique job identifier, assigned at submit time and never
 /// reused — it keys the job's [`mpisim::Comm::dup_for`] communicator
@@ -105,19 +125,46 @@ impl JobSpec {
     }
 }
 
-/// Why a job failed: which ranks reported it and the first message.
+/// Why a job failed: which ranks reported it and the root cause.
 #[derive(Debug, Clone)]
 pub struct JobError {
     /// Ranks that reported the failure, ascending.
     pub ranks: Vec<usize>,
-    /// The lowest-ranked failure's message.
+    /// The originating rank's own message — the rank the relayed cancel
+    /// tokens name — in preference to any relayed cancellation; failing
+    /// that, the lowest-ranked failure that is the rank's own.
     pub message: String,
+}
+
+impl JobError {
+    /// Attribute one job's per-rank failures (ascending by rank).
+    fn attribute(mut errs: Vec<(usize, RankFailure)>) -> Self {
+        let own = |f: &RankFailure| f.relayed_from.is_none();
+        let origin = errs.iter().find_map(|(_, f)| f.relayed_from);
+        let pick = errs
+            .iter()
+            .position(|(r, f)| own(f) && Some(*r) == origin)
+            .or_else(|| errs.iter().position(|(_, f)| own(f)))
+            .unwrap_or(0);
+        Self {
+            ranks: errs.iter().map(|(r, _)| *r).collect(),
+            message: errs.swap_remove(pick).1.message,
+        }
+    }
 }
 
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "failed on ranks {:?}: {}", self.ranks, self.message)
     }
+}
+
+/// One rank's failure of one job.
+pub(crate) struct RankFailure {
+    pub(crate) message: String,
+    /// The failing rank a cancel token named, when this rank only relayed
+    /// the cancellation; `None` when the failure is this rank's own.
+    pub(crate) relayed_from: Option<usize>,
 }
 
 /// One job's outcome: per-rank results (indexed by rank) or the failure.
@@ -137,10 +184,13 @@ pub(crate) struct QueuedJob {
     pub(crate) logic: Arc<dyn JobLogic>,
 }
 
-/// The multi-tenant scheduler: a warm [`WorldPool`], a job queue, and an
-/// admission window. See the crate docs for the isolation contract.
+/// The multi-tenant scheduler: a warm [`WorldPool`], a job queue, an
+/// admission window and a plan cache. See the crate docs for the
+/// isolation contract.
 pub struct SolveService {
     pool: WorldPool,
+    /// Resolved batches by job shape, reused across tenants and epochs.
+    plans: PlanCache,
     max_concurrent: usize,
     /// Monotone job-id source; ids are never reused across epochs.
     next_id: JobId,
@@ -161,6 +211,7 @@ impl SolveService {
     pub fn with_pool(pool: WorldPool) -> Self {
         Self {
             pool,
+            plans: PlanCache::default(),
             max_concurrent: usize::MAX,
             next_id: 1,
             queue: Vec::new(),
@@ -179,6 +230,16 @@ impl SolveService {
     /// The warm pool (e.g. to check its size).
     pub fn pool(&self) -> &WorldPool {
         &self.pool
+    }
+
+    /// Distinct job shapes whose resolved plans are cached.
+    pub fn cached_plans(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Tag spans the cached plans hold; never above [`PLAN_CACHE_SPANS`].
+    pub fn cached_spans(&self) -> u64 {
+        self.plans.spans()
     }
 
     /// Queue a job for the next `run_pending` epoch.
@@ -211,25 +272,19 @@ impl SolveService {
             return Vec::new();
         }
         let n_ranks = self.pool.n_ranks();
-        let patterns: Vec<Vec<CommPattern>> = queued.iter().map(|q| q.logic.patterns()).collect();
-        let batches: Vec<NeighborBatch<'_>> = queued
+        // One plan per distinct job shape, resolved HERE on the submitting
+        // thread before any rank observes it: resolution leases spans from
+        // the process-global TagSpace, and per-rank resolution order would
+        // not be deterministic. Tenants sharing a plan share its tag bases;
+        // each runs on its own dup'd communicator, so their channels stay
+        // disjoint.
+        let plans: Vec<Arc<PlannedBatch>> = queued
             .iter()
-            .zip(&patterns)
-            .map(|(q, pats)| {
-                let mut b = NeighborBatch::new(&q.topo);
-                for p in pats {
-                    b = b.entry(p, q.backend);
-                }
-                b
+            .map(|q| {
+                self.plans
+                    .get_or_plan(&q.topo, q.backend, q.logic.patterns())
             })
             .collect();
-        // Resolve every batch's plan and tag leases HERE, on the
-        // submitting thread, before any rank observes it: resolution
-        // leases spans from the process-global TagSpace, and per-rank
-        // resolution order would not be deterministic.
-        for b in &batches {
-            let _ = b.tag_bases();
-        }
         let ctl_base = self.ctl_lease.entry_base(0);
         // the control communicator needs its own never-reused stream id;
         // it shares the job-id namespace
@@ -237,11 +292,11 @@ impl SolveService {
         self.next_id += 1;
         let max_concurrent = self.max_concurrent;
         let outcome = self.pool.try_run(|ctx: &mut RankCtx| {
-            scheduler::drive_rank(ctx, &queued, &batches, ctl_stream, ctl_base, max_concurrent)
+            scheduler::drive_rank(ctx, &queued, &plans, ctl_stream, ctl_base, max_concurrent)
         });
         match outcome {
             Ok(per_rank) => {
-                type RankRows = Vec<(usize, Result<Vec<f64>, String>)>;
+                type RankRows = Vec<(usize, Result<Vec<f64>, RankFailure>)>;
                 let mut per_job: Vec<RankRows> = (0..queued.len()).map(|_| Vec::new()).collect();
                 for (r, rr) in per_rank.into_iter().enumerate() {
                     assert_eq!(rr.len(), queued.len());
@@ -254,7 +309,7 @@ impl SolveService {
                     .zip(per_job)
                     .map(|(q, rows)| {
                         let mut oks = Vec::with_capacity(n_ranks);
-                        let mut errs: Vec<(usize, String)> = Vec::new();
+                        let mut errs: Vec<(usize, RankFailure)> = Vec::new();
                         for (r, res) in rows {
                             match res {
                                 Ok(x) => oks.push(x),
@@ -264,10 +319,7 @@ impl SolveService {
                         let outcome = if errs.is_empty() {
                             Ok(oks)
                         } else {
-                            Err(JobError {
-                                ranks: errs.iter().map(|(r, _)| *r).collect(),
-                                message: errs[0].1.clone(),
-                            })
+                            Err(JobError::attribute(errs))
                         };
                         JobReport {
                             id: q.id,

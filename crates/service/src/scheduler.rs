@@ -6,8 +6,8 @@
 //! 1. duplicate the world communicator once per job
 //!    ([`Comm::dup_for`] keyed by the job's global id), plus once for
 //!    the epoch's control fabric;
-//! 2. `init_all` **every** job's batch session (registration is not
-//!    admission-controlled);
+//! 2. `init_all` **every** job's planned batch (registration is not
+//!    admission-controlled; jobs of one shape share one plan);
 //! 3. register one cancel-token receive channel per peer on the control
 //!    communicator — a token names its job ([`encode_token`]), so the
 //!    channel count (and the park set it joins) stays O(ranks), not
@@ -35,10 +35,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mpi_advance::future::{panic_text, with_ctx, CatchPanic, EntryFuture, ProgressDriver};
-use mpi_advance::{BatchRequest, NeighborBatch};
+use mpi_advance::{BatchRequest, PlannedBatch};
 use mpisim::{ChanId, Comm, RankCtx, RecvChan};
 
-use crate::{JobLogic, QueuedJob};
+use crate::{JobLogic, QueuedJob, RankFailure};
 
 /// Peer-death park aborts absorbed without an attributing cancel token
 /// before the rank gives up and fails its running jobs. Each absorb
@@ -104,11 +104,11 @@ fn broadcast_cancel(ctx: &mut RankCtx, ctl: &Comm, ctl_base: u64, rank: usize, j
 pub(crate) fn drive_rank(
     ctx: &mut RankCtx,
     jobs: &[QueuedJob],
-    batches: &[NeighborBatch<'_>],
+    plans: &[Arc<PlannedBatch>],
     ctl_stream: u64,
     ctl_base: u64,
     max_concurrent: usize,
-) -> Vec<Result<Vec<f64>, String>> {
+) -> Vec<Result<Vec<f64>, RankFailure>> {
     let world = ctx.comm_world();
     let rank = ctx.rank();
     let n_ranks = world.size();
@@ -117,7 +117,7 @@ pub(crate) fn drive_rank(
     // -- prologue: communicators, registration, cancel fabric, barrier --
     let comms: Vec<Comm> = jobs.iter().map(|q| world.dup_for(q.id)).collect();
     let ctl_comm = world.dup_for(ctl_stream);
-    let mut sessions: Vec<Option<BatchRequest>> = batches
+    let mut sessions: Vec<Option<BatchRequest>> = plans
         .iter()
         .zip(&comms)
         .map(|(b, c)| Some(b.init_all(ctx, c)))
@@ -134,7 +134,7 @@ pub(crate) fn drive_rank(
 
     // -- the drive loop --
     let mut driver: ProgressDriver<'_, Result<Vec<f64>, String>> = ProgressDriver::new();
-    let mut results: Vec<Option<Result<Vec<f64>, String>>> = (0..n).map(|_| None).collect();
+    let mut results: Vec<Option<Result<Vec<f64>, RankFailure>>> = (0..n).map(|_| None).collect();
     let mut task_of: Vec<Option<usize>> = vec![None; n];
     let mut job_of_task: Vec<usize> = Vec::new();
     let mut running: Vec<usize> = Vec::new();
@@ -193,7 +193,7 @@ pub(crate) fn drive_rank(
                 ctx.absorb_rank_failure();
                 broadcast_cancel(ctx, &ctl_comm, ctl_base, rank, j);
             }
-            results[j] = Some(res);
+            results[j] = Some(res.map_err(own));
             running.retain(|&x| x != j);
         }
 
@@ -214,10 +214,13 @@ pub(crate) fn drive_rank(
                         driver.cancel(t);
                     }
                     running.retain(|&x| x != j);
-                    results[j] = Some(Err(format!(
-                        "job {:?} cancelled: tenant failed on rank {src}",
-                        jobs[j].name
-                    )));
+                    results[j] = Some(Err(RankFailure {
+                        message: format!(
+                            "job {:?} cancelled: tenant failed on rank {src}",
+                            jobs[j].name
+                        ),
+                        relayed_from: Some(src),
+                    }));
                     progressed = true;
                 }
             }
@@ -253,11 +256,11 @@ pub(crate) fn drive_rank(
                 let names: Vec<&str> = running.iter().map(|&j| jobs[j].name.as_str()).collect();
                 for &j in &running {
                     broadcast_cancel(ctx, &ctl_comm, ctl_base, rank, j);
-                    results[j] = Some(Err(format!(
+                    results[j] = Some(Err(own(format!(
                         "job {:?} failed while rank {rank} was parked \
                          (jobs running here: {names:?}): {msg}",
                         jobs[j].name
-                    )));
+                    ))));
                     if let Some(t) = task_of[j] {
                         driver.cancel(t);
                     }
@@ -270,6 +273,16 @@ pub(crate) fn drive_rank(
     results
         .into_iter()
         .enumerate()
-        .map(|(j, r)| r.unwrap_or_else(|| Err(format!("job {:?} was never driven", jobs[j].name))))
+        .map(|(j, r)| {
+            r.unwrap_or_else(|| Err(own(format!("job {:?} was never driven", jobs[j].name))))
+        })
         .collect()
+}
+
+/// A failure that originated on this rank.
+fn own(message: String) -> RankFailure {
+    RankFailure {
+        message,
+        relayed_from: None,
+    }
 }

@@ -13,14 +13,21 @@
 //! * **Deadline attribution** — a wedged tenant trips the wait deadline
 //!   and the resulting per-job errors name the jobs that were running on
 //!   the parked rank.
+//! * **Plan cache** — tenants of one shape share one resolved plan and
+//!   stay byte-identical to their references; shapes that differ in a
+//!   single slot never share one, and a shared plan survives a tenant's
+//!   death.
+
+mod common;
 
 use std::f64::consts::FRAC_PI_4;
 use std::sync::Arc;
 use std::time::Duration;
 
 use amg::{Hierarchy, HierarchyOptions, JacobiJob};
+use common::{four_rank_pattern, EchoJob};
 use locality::Topology;
-use mpi_advance::{CommPattern, EntryId, NeighborRequest};
+use mpi_advance::{Backend, CommPattern, EntryId, NeighborRequest, Protocol};
 use mpisim::{FaultPlan, World, WorldPool};
 use proptest::prelude::*;
 use service::{JobLogic, JobReport, JobSpec, RankState, SolveService};
@@ -35,7 +42,13 @@ fn topo() -> Topology {
 /// A small AMG hierarchy plus K relaxation jobs with distinct right-hand
 /// sides — the standard multi-tenant workload for this suite.
 fn tenant_jobs(k: usize) -> Vec<Arc<JacobiJob>> {
-    let a = diffusion_2d_7pt(16, 8, 0.001, FRAC_PI_4);
+    jobs_on(16, 8, k)
+}
+
+/// K relaxation jobs with distinct right-hand sides on a `w`×`h` grid's
+/// hierarchy.
+fn jobs_on(w: usize, h: usize, k: usize) -> Vec<Arc<JacobiJob>> {
+    let a = diffusion_2d_7pt(w, h, 0.001, FRAC_PI_4);
     let n = a.n_rows();
     let h = Hierarchy::setup(a, HierarchyOptions::default());
     (0..k)
@@ -315,6 +328,116 @@ fn deadline_dump_attributes_running_jobs() {
             .iter()
             .any(|e| e.message.contains("tenant-wedged") && e.message.contains("parked")),
         "no deadline dump attributed the wedged tenant by name: {dumped:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// the plan cache: one resolved plan per job shape
+// ---------------------------------------------------------------------
+
+/// One round mixing two hierarchies × two backends, two tenants per
+/// shape: every tenant is byte-identical to its reference, the cache
+/// holds exactly one plan per distinct `(topology, backend, patterns)`
+/// key, and a second round is served from those plans alone.
+#[test]
+fn plan_cache_holds_one_plan_per_shape() {
+    let shapes = [jobs_on(16, 8, 2), jobs_on(20, 10, 2)];
+    let backends = [Backend::Auto, Backend::Protocol(Protocol::FullNeighbor)];
+    let mut svc = SolveService::new(RANKS);
+    for round in 0..2 {
+        let mut want = Vec::new();
+        for jobs in &shapes {
+            for backend in backends {
+                for job in jobs {
+                    svc.submit(
+                        JobSpec::new(
+                            format!("tenant-{}", want.len()),
+                            topo(),
+                            Arc::clone(job) as Arc<dyn JobLogic>,
+                        )
+                        .backend(backend),
+                    );
+                    want.push(job.reference_results());
+                }
+            }
+        }
+        let reports = svc.run_pending();
+        assert_eq!(reports.len(), want.len());
+        for (rep, want) in reports.iter().zip(&want) {
+            let got = rep
+                .outcome
+                .as_ref()
+                .unwrap_or_else(|e| panic!("round {round}: {} failed: {e}", rep.name));
+            assert_eq!(got, want, "round {round}: {}", rep.name);
+        }
+        assert_eq!(svc.cached_plans(), 4, "round {round}: one plan per key");
+    }
+}
+
+/// Two patterns that differ in a single slot hash alike (the signature
+/// counts sends, not index values) but must still miss: each tenant runs
+/// on its own plan and receives exactly its own ghost values.
+#[test]
+fn plan_cache_misses_on_a_one_slot_difference() {
+    let (p, q) = (four_rank_pattern(11), four_rank_pattern(12));
+    assert_ne!(p, q);
+    assert_eq!(p.pattern_signature(), q.pattern_signature());
+    let mut svc = SolveService::new(RANKS);
+    for (k, pattern) in [p.clone(), q, p].into_iter().enumerate() {
+        let job = EchoJob {
+            patterns: vec![pattern; 2],
+            salt: 0.25 * k as f64,
+        };
+        svc.submit(JobSpec::new(format!("echo-{k}"), topo(), Arc::new(job)));
+    }
+    for rep in svc.run_pending() {
+        assert!(rep.outcome.is_ok(), "{}: {:?}", rep.name, rep.outcome.err());
+    }
+    assert_eq!(svc.cached_plans(), 2, "the two slot variants share no plan");
+}
+
+/// A seeded kill of one of two tenants sharing a cached plan: the twin
+/// stays byte-identical to its reference, and the next round, on the same
+/// cached plan, succeeds for both.
+#[test]
+fn kill_of_a_plan_sharing_tenant_spares_its_twin() {
+    let jobs = tenant_jobs(2);
+    let mut saw_split = false;
+    for nth in [20, 40, 60, 80, 120, 160] {
+        let plan = FaultPlan::seeded(11).kill(1, nth);
+        let mut svc = SolveService::with_pool(World::pool_with_faults(RANKS, plan));
+        submit_all(&mut svc, &jobs);
+        let reports = svc.run_pending();
+        assert_eq!(svc.cached_plans(), 1, "nth={nth}: the twins share one plan");
+        let failed = reports.iter().filter(|r| r.outcome.is_err()).count();
+        if failed != 1 {
+            continue;
+        }
+        saw_split = true;
+        for (k, rep) in reports.iter().enumerate() {
+            match &rep.outcome {
+                Ok(got) => assert_eq!(
+                    got,
+                    &jobs[k].reference_results(),
+                    "nth={nth}: the surviving twin must be byte-identical"
+                ),
+                Err(e) => assert!(
+                    e.message.contains("rank 1"),
+                    "nth={nth}: failure must be attributed to the dead rank: {e}"
+                ),
+            }
+        }
+        submit_all(&mut svc, &jobs);
+        expect_ok(&svc.run_pending(), &jobs, &format!("nth={nth}: next round"));
+        assert_eq!(
+            svc.cached_plans(),
+            1,
+            "nth={nth}: served from the same plan"
+        );
+    }
+    assert!(
+        saw_split,
+        "no nth in the scan killed exactly one twin; isolation was not exercised"
     );
 }
 
