@@ -1,6 +1,6 @@
 # Developer entry points. `make tier1` mirrors the CI verify exactly.
 
-.PHONY: tier1 build test test-all test-chaos test-sock test-tuner test-serve fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service bench-repo-smoke
+.PHONY: tier1 build test test-all test-chaos test-sock test-tuner test-serve test-soak fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service bench-repo-smoke
 
 tier1: ## the repository's tier-1 verify
 	cargo build --release && cargo test -q
@@ -39,10 +39,17 @@ test-tuner:
 # reference replay on all three fabrics, a warm pool surviving
 # successive rounds, a seeded kill failing exactly one tenant (with
 # rank attribution) while the others stay byte-identical to solo runs,
-# deadline dumps naming every job they take down, and the plan cache
-# (one resolved plan per job shape, shared byte-identically)
+# deadline dumps naming every job they take down, the plan cache
+# (one resolved plan per job shape, shared byte-identically), and
+# recycled job contexts that never carry stale traffic
 test-serve:
 	cargo test --test serve -q
+
+# the solve service's soak suite (DESIGN.md §12): 1000 one-sweep jobs
+# through one service on each fabric, every job byte-identical to its
+# reference, and a channel registry that stops growing once warm
+test-soak:
+	cargo test --test soak -q
 
 fmt:
 	cargo fmt --all

@@ -427,6 +427,21 @@ impl WorldPool {
         self.shared.state.n_ranks
     }
 
+    /// Persistent channels the world has registered, over every
+    /// communicator context. Nothing is ever unregistered, so on a
+    /// long-lived pool this count is the registry's footprint.
+    pub fn registered_channels(&self) -> usize {
+        self.shared.state.registered_channels()
+    }
+
+    /// Undelivered payloads on the persistent channels of
+    /// `comm_world().dup_for(stream)` — zero once every message sent on
+    /// that context has been received. Call it between epochs.
+    pub fn stream_pending(&self, stream: u64) -> usize {
+        let ctx_id = crate::Comm::world(self.n_ranks(), 0).dup_for(stream).ctx_id;
+        self.shared.state.context_pending(ctx_id)
+    }
+
     /// Run `f` on every rank of the warm world and return each rank's
     /// result, indexed by rank — [`World::run`] semantics without the
     /// per-call thread spawn. Panics in any rank propagate to the caller

@@ -695,14 +695,16 @@ pub(crate) struct WorldState {
     /// Pre-matched persistent channels, keyed by signature. Entries live
     /// as long as the world (like unmatched mailbox envelopes): the
     /// simulator has no `MPI_Request_free` counterpart, so nothing is
-    /// ever unregistered. That is NOT bounded on a long-lived pool: every
-    /// `Comm::dup_for` context registers fresh signatures, so a solve
-    /// service grows this map by roughly 32 KB per job, forever.
-    /// Reclaiming a freed communicator's channels is ROADMAP item 1
-    /// (`Comm::free`). A pooled world ([`crate::WorldPool`]) keeps its `WorldState` across
-    /// epochs, so re-registering the same signature re-attaches to the
-    /// (drained) channel — re-init on a warm world is a lookup, not a
-    /// rendezvous.
+    /// ever unregistered. A pooled world ([`crate::WorldPool`]) keeps its
+    /// `WorldState` across epochs, so re-registering the same signature
+    /// re-attaches to the (drained) channel — re-init on a warm world is
+    /// a lookup, not a rendezvous. A solve service leans on exactly that:
+    /// a finished job's `Comm::dup_for` context goes back to its plan's
+    /// free list and the next tenant of that shape re-attaches to it, so
+    /// on the fault-free path this map stops growing once every shape is
+    /// warm. Contexts of failed jobs and of evicted plans are retired,
+    /// not reused, and their channels stay here until `Comm::free`
+    /// exists (ROADMAP item 1).
     channels: Mutex<HashMap<ChanKey, ChanSlot>>,
     /// Per-rank scan rotor for [`WorldState::poll_any`] /
     /// [`WorldState::wait_any`]: each call starts its readiness scan one
@@ -1098,6 +1100,25 @@ impl WorldState {
             .lock()
             .get(key)
             .is_some_and(|slot| (slot.pending)() > 0)
+    }
+
+    /// Persistent channels registered so far (every context, every
+    /// signature).
+    pub(crate) fn registered_channels(&self) -> usize {
+        self.channels.lock().len()
+    }
+
+    /// Undelivered payloads on the persistent channels of context
+    /// `ctx_id`, summed over the registry's pending hooks. Zero means the
+    /// context is quiescent: a new tenant can re-attach to its channels
+    /// without seeing stale traffic.
+    pub(crate) fn context_pending(&self, ctx_id: u64) -> usize {
+        self.channels
+            .lock()
+            .iter()
+            .filter(|(key, _)| key.0 == ctx_id)
+            .map(|(_, slot)| (slot.pending)())
+            .sum()
     }
 
     /// Deposit an envelope in `global_dst`'s mailbox and wake any waiter.

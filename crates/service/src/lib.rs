@@ -14,9 +14,10 @@
 //! Isolation is per job, on three axes:
 //!
 //! * **channels** — every job drives a [`Comm::dup_for`] duplicate of the
-//!   world communicator keyed by its globally-unique job id, so its
-//!   channel keys (and tag leases) can never alias another tenant's, or
-//!   a failed tenant's stale traffic from an earlier epoch;
+//!   world communicator on a stream no other job of its epoch holds, so
+//!   its channel keys can never alias another tenant's; a stream is only
+//!   reused once it is quiescent (see *Warm contexts* below), so a failed
+//!   tenant's stale traffic can never reach a later job either;
 //! * **panics** — each task is wrapped in
 //!   [`CatchPanic`](mpi_advance::future::CatchPanic): a seeded `kill=`
 //!   fault (or plain bug) inside one tenant resolves that task to `Err`,
@@ -44,6 +45,29 @@
 //! the same tags on two dup'd communicators are two disjoint channel
 //! sets (`tests/serve.rs::dup_comm_isolation`).
 //!
+//! **Warm contexts.** Registering a job's channels is paid once per
+//! *context*, not once per job: each cached plan keeps a free list of
+//! streams whose `dup_for` contexts already registered that plan's
+//! channels and are quiescent again. A job leases a stream from its
+//! plan's list (or mints a fresh one), and its `init_all` then
+//! re-attaches to the drained channels by lookup. The rules that keep
+//! reuse byte-safe:
+//!
+//! * a stream goes back to its plan's list only after its job succeeded
+//!   on every rank — a failed job's channels may hold stale payloads, so
+//!   its stream is retired; an epoch error recycles nothing;
+//! * the control communicator's stream is reused only after an epoch in
+//!   which every job succeeded, so no stale cancel token survives;
+//! * lists are per plan: only the same plan guarantees the same channel
+//!   keys and element types; an evicted plan's streams are retired with
+//!   it (its tags may be leased again to another shape), and a plan
+//!   served uncached never recycles;
+//! * a leased stream is held by one job until its epoch ends.
+//!
+//! Retired contexts' channels stay registered until `Comm::free` exists
+//! (ROADMAP item 1); on the fault-free path the channel registry stops
+//! growing once every shape is warm (`tests/soak.rs`).
+//!
 //! Admission control bounds how many jobs a rank *drives* concurrently
 //! ([`SolveService::max_concurrent`]); registration is never bounded —
 //! every queued job's channels are registered (and barrier-synchronized)
@@ -64,10 +88,11 @@ use mpisim::{RankCtx, World, WorldPool};
 use plan_cache::PlanCache;
 pub use plan_cache::PLAN_CACHE_SPANS;
 
-/// Globally-unique job identifier, assigned at submit time and never
-/// reused — it keys the job's [`mpisim::Comm::dup_for`] communicator
-/// stream, so channels of distinct jobs (across all epochs of the
-/// service) can never alias.
+/// Job identifier, assigned at submit time and never reused by the
+/// service, for reports and failure attribution. It does not name the
+/// job's communicator: the [`mpisim::Comm::dup_for`] stream a job runs
+/// on is leased from its plan and may have served earlier jobs of the
+/// same shape (see the crate docs).
 pub type JobId = u64;
 
 /// What a job computes: its communication shape plus a per-rank state
@@ -176,12 +201,18 @@ pub struct JobReport {
     pub outcome: Result<Vec<Vec<f64>>, JobError>,
 }
 
+/// A job of the running epoch: its logic, its resolved plan, and the
+/// communicator stream it leased.
 pub(crate) struct QueuedJob {
     pub(crate) id: JobId,
     pub(crate) name: String,
-    pub(crate) topo: Topology,
-    pub(crate) backend: Backend,
     pub(crate) logic: Arc<dyn JobLogic>,
+    pub(crate) plan: Arc<PlannedBatch>,
+    /// The [`mpisim::Comm::dup_for`] stream the job runs on.
+    pub(crate) stream: u64,
+    /// The plan-cache entry the stream returns to; `None` when the plan
+    /// was served uncached (the stream is then retired after the epoch).
+    home: Option<u64>,
 }
 
 /// The multi-tenant scheduler: a warm [`WorldPool`], a job queue, an
@@ -194,11 +225,16 @@ pub struct SolveService {
     max_concurrent: usize,
     /// Monotone job-id source; ids are never reused across epochs.
     next_id: JobId,
-    queue: Vec<QueuedJob>,
+    /// Monotone source of fresh communicator streams.
+    next_stream: u64,
+    queue: Vec<(JobId, JobSpec)>,
     /// One leased tag span for the epoch's per-peer cancel-token
     /// channels (they live on a dedicated dup'd communicator, so one
     /// channel per peer serves every job).
     ctl_lease: TagLease,
+    /// The control communicator's stream, kept while it is quiescent:
+    /// after an epoch in which every job succeeded.
+    ctl_stream: Option<u64>,
 }
 
 impl SolveService {
@@ -214,8 +250,10 @@ impl SolveService {
             plans: PlanCache::default(),
             max_concurrent: usize::MAX,
             next_id: 1,
+            next_stream: 1,
             queue: Vec::new(),
             ctl_lease: TagSpace::global().lease_for(1, "service-ctl"),
+            ctl_stream: None,
         }
     }
 
@@ -251,13 +289,7 @@ impl SolveService {
         );
         let id = self.next_id;
         self.next_id += 1;
-        self.queue.push(QueuedJob {
-            id,
-            name: spec.name,
-            topo: spec.topo,
-            backend: spec.backend,
-            logic: spec.logic,
-        });
+        self.queue.push((id, spec));
         id
     }
 
@@ -276,35 +308,48 @@ impl SolveService {
         // thread before any rank observes it: resolution leases spans from
         // the process-global TagSpace, and per-rank resolution order would
         // not be deterministic. Tenants sharing a plan share its tag bases;
-        // each runs on its own dup'd communicator, so their channels stay
-        // disjoint.
-        let plans: Vec<Arc<PlannedBatch>> = queued
-            .iter()
-            .map(|q| {
-                self.plans
-                    .get_or_plan(&q.topo, q.backend, q.logic.patterns())
+        // each leases its own stream, so their channels stay disjoint.
+        let next_stream = &mut self.next_stream;
+        let mut mint = || {
+            *next_stream += 1;
+            *next_stream - 1
+        };
+        let jobs: Vec<QueuedJob> = queued
+            .into_iter()
+            .map(|(id, spec)| {
+                let (plan, home) =
+                    self.plans
+                        .get_or_plan(&spec.topo, spec.backend, spec.logic.patterns());
+                let stream = home
+                    .and_then(|h| self.plans.take_stream(h))
+                    .unwrap_or_else(&mut mint);
+                QueuedJob {
+                    id,
+                    name: spec.name,
+                    logic: spec.logic,
+                    plan,
+                    stream,
+                    home,
+                }
             })
             .collect();
         let ctl_base = self.ctl_lease.entry_base(0);
-        // the control communicator needs its own never-reused stream id;
-        // it shares the job-id namespace
-        let ctl_stream = self.next_id;
-        self.next_id += 1;
+        let ctl_stream = self.ctl_stream.take().unwrap_or_else(mint);
         let max_concurrent = self.max_concurrent;
         let outcome = self.pool.try_run(|ctx: &mut RankCtx| {
-            scheduler::drive_rank(ctx, &queued, &plans, ctl_stream, ctl_base, max_concurrent)
+            scheduler::drive_rank(ctx, &jobs, ctl_stream, ctl_base, max_concurrent)
         });
         match outcome {
             Ok(per_rank) => {
                 type RankRows = Vec<(usize, Result<Vec<f64>, RankFailure>)>;
-                let mut per_job: Vec<RankRows> = (0..queued.len()).map(|_| Vec::new()).collect();
+                let mut per_job: Vec<RankRows> = (0..jobs.len()).map(|_| Vec::new()).collect();
                 for (r, rr) in per_rank.into_iter().enumerate() {
-                    assert_eq!(rr.len(), queued.len());
+                    assert_eq!(rr.len(), jobs.len());
                     for (j, res) in rr.into_iter().enumerate() {
                         per_job[j].push((r, res));
                     }
                 }
-                queued
+                let reports: Vec<JobReport> = jobs
                     .iter()
                     .zip(per_job)
                     .map(|(q, rows)| {
@@ -327,17 +372,29 @@ impl SolveService {
                             outcome,
                         }
                     })
-                    .collect()
+                    .collect();
+                // recycle the streams of jobs that succeeded on every rank
+                for (q, rep) in jobs.iter().zip(&reports) {
+                    if let (Some(home), Ok(_)) = (q.home, &rep.outcome) {
+                        self.debug_assert_quiescent(q.stream);
+                        self.plans.give_back(home, q.stream);
+                    }
+                }
+                if reports.iter().all(|r| r.outcome.is_ok()) {
+                    self.debug_assert_quiescent(ctl_stream);
+                    self.ctl_stream = Some(ctl_stream);
+                }
+                reports
             }
             Err(e) => {
                 // Unattributable epoch failure: every job of the epoch
-                // reports it (and the pool stays warm for the next one).
+                // reports it, nothing is recycled (the pool stays warm
+                // for the next epoch).
                 let err = JobError {
                     ranks: e.failures.iter().map(|(r, _)| *r).collect(),
                     message: format!("epoch failed: {e}"),
                 };
-                queued
-                    .iter()
+                jobs.iter()
                     .map(|q| JobReport {
                         id: q.id,
                         name: q.name.clone(),
@@ -346,5 +403,15 @@ impl SolveService {
                     .collect()
             }
         }
+    }
+
+    /// Debug builds: a stream about to be reused must have no payload
+    /// pending on any of its channels. Release builds pay nothing.
+    fn debug_assert_quiescent(&self, stream: u64) {
+        debug_assert_eq!(
+            self.pool.stream_pending(stream),
+            0,
+            "stream {stream} would be reused with payloads still pending"
+        );
     }
 }

@@ -7,6 +7,14 @@
 //! backend and every pattern, so two shapes whose signatures collide can
 //! never share a plan. The cache is bounded by [`PLAN_CACHE_SPANS`] tag
 //! spans and evicts least-recently-used plans to stay under it.
+//!
+//! Each entry also keeps a free list of communicator streams: `dup_for`
+//! contexts that have registered this plan's channels and are quiescent
+//! again, so the next tenant of the shape re-attaches to them instead of
+//! registering afresh. The lists are per plan because only the same plan
+//! guarantees the same channel keys and element types; an evicted plan's
+//! streams are retired with it, since its tags may be leased again to
+//! another shape.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -28,6 +36,12 @@ struct Entry {
     patterns: Vec<CommPattern>,
     plan: Arc<PlannedBatch>,
     last_used: u64,
+    /// Unique among every entry this cache ever held (the clock value at
+    /// insertion), so a stream handed out before an eviction can tell
+    /// that its entry is gone.
+    id: u64,
+    /// Quiescent streams that have registered this plan's channels.
+    free: Vec<u64>,
 }
 
 #[derive(Default)]
@@ -50,21 +64,22 @@ fn key_hash(topo: &Topology, backend: Backend, patterns: &[CommPattern]) -> u64 
 }
 
 impl PlanCache {
-    /// The plan for this job shape: the cached one on a hit, else a
-    /// freshly resolved one (cached when it fits the span budget).
+    /// The plan for this job shape — the cached one on a hit, else a
+    /// freshly resolved one (cached when it fits the span budget) — and
+    /// the id of the entry holding it, `None` when served uncached.
     pub(crate) fn get_or_plan(
         &mut self,
         topo: &Topology,
         backend: Backend,
         patterns: Vec<CommPattern>,
-    ) -> Arc<PlannedBatch> {
+    ) -> (Arc<PlannedBatch>, Option<u64>) {
         self.clock += 1;
         let hash = key_hash(topo, backend, &patterns);
         if let Some(e) = self.entries.iter_mut().find(|e| {
             e.hash == hash && e.backend == backend && e.topo == *topo && e.patterns == patterns
         }) {
             e.last_used = self.clock;
-            return Arc::clone(&e.plan);
+            return (Arc::clone(&e.plan), Some(e.id));
         }
         let plan = Arc::clone(
             patterns
@@ -73,24 +88,41 @@ impl PlanCache {
                 .planned(),
         );
         let spans = plan.spans();
-        if spans <= PLAN_CACHE_SPANS {
-            while self.spans + spans > PLAN_CACHE_SPANS {
-                let lru = (0..self.entries.len())
-                    .min_by_key(|&i| self.entries[i].last_used)
-                    .expect("spans are held by some entry");
-                self.spans -= self.entries.swap_remove(lru).plan.spans();
-            }
-            self.spans += spans;
-            self.entries.push(Entry {
-                hash,
-                topo: topo.clone(),
-                backend,
-                patterns,
-                plan: Arc::clone(&plan),
-                last_used: self.clock,
-            });
+        if spans > PLAN_CACHE_SPANS {
+            return (plan, None);
         }
-        plan
+        while self.spans + spans > PLAN_CACHE_SPANS {
+            let lru = (0..self.entries.len())
+                .min_by_key(|&i| self.entries[i].last_used)
+                .expect("spans are held by some entry");
+            self.spans -= self.entries.swap_remove(lru).plan.spans();
+        }
+        self.spans += spans;
+        self.entries.push(Entry {
+            hash,
+            topo: topo.clone(),
+            backend,
+            patterns,
+            plan: Arc::clone(&plan),
+            last_used: self.clock,
+            id: self.clock,
+            free: Vec::new(),
+        });
+        (plan, Some(self.clock))
+    }
+
+    /// A quiescent stream off entry `id`'s free list, if it has one.
+    pub(crate) fn take_stream(&mut self, id: u64) -> Option<u64> {
+        self.entries.iter_mut().find(|e| e.id == id)?.free.pop()
+    }
+
+    /// Return a quiescent `stream` to entry `id`'s free list. If the
+    /// entry has been evicted meanwhile the stream is retired: the
+    /// plan's tags may already be leased to another shape.
+    pub(crate) fn give_back(&mut self, id: u64, stream: u64) {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
+            e.free.push(stream);
+        }
     }
 
     /// Plans currently cached.

@@ -4,10 +4,11 @@
 //! Epoch prologue (every rank, before anything is driven):
 //!
 //! 1. duplicate the world communicator once per job
-//!    ([`Comm::dup_for`] keyed by the job's global id), plus once for
-//!    the epoch's control fabric;
+//!    ([`Comm::dup_for`] keyed by the stream the job leased), plus once
+//!    for the epoch's control fabric;
 //! 2. `init_all` **every** job's planned batch (registration is not
-//!    admission-controlled; jobs of one shape share one plan);
+//!    admission-controlled; jobs of one shape share one plan, and a job
+//!    on a recycled stream re-attaches to its drained channels);
 //! 3. register one cancel-token receive channel per peer on the control
 //!    communicator — a token names its job ([`encode_token`]), so the
 //!    channel count (and the park set it joins) stays O(ranks), not
@@ -35,7 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mpi_advance::future::{panic_text, with_ctx, CatchPanic, EntryFuture, ProgressDriver};
-use mpi_advance::{BatchRequest, PlannedBatch};
+use mpi_advance::BatchRequest;
 use mpisim::{ChanId, Comm, RankCtx, RecvChan};
 
 use crate::{JobLogic, QueuedJob, RankFailure};
@@ -104,7 +105,6 @@ fn broadcast_cancel(ctx: &mut RankCtx, ctl: &Comm, ctl_base: u64, rank: usize, j
 pub(crate) fn drive_rank(
     ctx: &mut RankCtx,
     jobs: &[QueuedJob],
-    plans: &[Arc<PlannedBatch>],
     ctl_stream: u64,
     ctl_base: u64,
     max_concurrent: usize,
@@ -115,12 +115,10 @@ pub(crate) fn drive_rank(
     let n = jobs.len();
 
     // -- prologue: communicators, registration, cancel fabric, barrier --
-    let comms: Vec<Comm> = jobs.iter().map(|q| world.dup_for(q.id)).collect();
     let ctl_comm = world.dup_for(ctl_stream);
-    let mut sessions: Vec<Option<BatchRequest>> = plans
+    let mut sessions: Vec<Option<BatchRequest>> = jobs
         .iter()
-        .zip(&comms)
-        .map(|(b, c)| Some(b.init_all(ctx, c)))
+        .map(|q| Some(q.plan.init_all(ctx, &world.dup_for(q.stream))))
         .collect();
     let mut ctl: Vec<RecvChan<u64>> = (0..n_ranks)
         .filter(|&s| s != rank)

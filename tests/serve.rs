@@ -17,6 +17,9 @@
 //!   stay byte-identical to their references; shapes that differ in a
 //!   single slot never share one, and a shared plan survives a tenant's
 //!   death.
+//! * **Warm contexts** — recycled communicator contexts carry no stale
+//!   traffic from a failed round, and alternating shapes keep the channel
+//!   registry flat once both are warm.
 
 mod common;
 
@@ -438,6 +441,160 @@ fn kill_of_a_plan_sharing_tenant_spares_its_twin() {
     assert!(
         saw_split,
         "no nth in the scan killed exactly one twin; isolation was not exercised"
+    );
+}
+
+// ---------------------------------------------------------------------
+// warm contexts: finished jobs' communicators serve later tenants
+// ---------------------------------------------------------------------
+
+/// A seeded kill fails some tenants of round 1. Their contexts, and the
+/// control context that may still hold their cancel tokens, are retired;
+/// the survivors' contexts serve rounds 2 and 3, which must be
+/// byte-identical with no job cancelled by a stale token.
+#[test]
+fn recycled_contexts_carry_no_stale_traffic() {
+    let jobs = tenant_jobs(4);
+    let mut saw_failure = false;
+    for nth in [30, 60, 90, 120, 150] {
+        let plan = FaultPlan::seeded(5).kill(2, nth);
+        let mut svc = SolveService::with_pool(World::pool_with_faults(RANKS, plan));
+        submit_all(&mut svc, &jobs);
+        let first = svc.run_pending();
+        let failed = first.iter().filter(|r| r.outcome.is_err()).count();
+        if failed == 0 {
+            continue;
+        }
+        saw_failure = true;
+        for round in 2..=3 {
+            submit_all(&mut svc, &jobs);
+            let reports = svc.run_pending();
+            for rep in &reports {
+                if let Err(e) = &rep.outcome {
+                    assert!(
+                        !e.message.contains("cancelled"),
+                        "nth={nth} round {round}: {} cancelled by a stale token: {e}",
+                        rep.name
+                    );
+                }
+            }
+            expect_ok(&reports, &jobs, &format!("nth={nth} round {round}"));
+        }
+    }
+    assert!(saw_failure, "no nth in the scan failed a tenant in round 1");
+}
+
+/// Wraps a job so one rank fails it only after every exchange is done:
+/// its `finish` sleeps, then panics. The peers have finished the job and
+/// left the epoch by then, so the cancel token the failing rank
+/// broadcasts stays undelivered on the control channels.
+struct FailLateJob {
+    inner: Arc<JacobiJob>,
+    rank: usize,
+}
+
+struct FailLateState {
+    inner: Box<dyn RankState>,
+    fail: bool,
+}
+
+impl JobLogic for FailLateJob {
+    fn patterns(&self) -> Vec<CommPattern> {
+        JobLogic::patterns(&*self.inner)
+    }
+    fn iters(&self) -> usize {
+        JobLogic::iters(&*self.inner)
+    }
+    fn rank_state(&self, rank: usize) -> Box<dyn RankState> {
+        Box::new(FailLateState {
+            inner: JobLogic::rank_state(&*self.inner, rank),
+            fail: rank == self.rank,
+        })
+    }
+}
+
+impl RankState for FailLateState {
+    fn input(&mut self, iter: usize, e: EntryId, req: &dyn NeighborRequest) -> Vec<f64> {
+        self.inner.input(iter, e, req)
+    }
+    fn absorb(&mut self, iter: usize, e: EntryId, req: &dyn NeighborRequest, output: &[f64]) {
+        self.inner.absorb(iter, e, req, output)
+    }
+    fn finish(self: Box<Self>) -> Vec<f64> {
+        if self.fail {
+            std::thread::sleep(Duration::from_millis(100));
+            panic!("tenant fails after its last exchange");
+        }
+        self.inner.finish()
+    }
+}
+
+/// A tenant that fails after its last exchange leaves its cancel token
+/// undelivered on the peers' control channels. The control context is
+/// therefore retired, and the next rounds run byte-identically with no
+/// job cancelled by that stale token. (The deadline turns a stale-token
+/// hang into a failure.)
+#[test]
+fn late_failure_leaves_no_stale_cancel_token() {
+    let jobs = tenant_jobs(3);
+    let plan = FaultPlan::seeded(1).deadline_ms(10_000);
+    let mut svc = SolveService::with_pool(World::pool_with_faults(RANKS, plan));
+    submit_all(&mut svc, &jobs[..2]);
+    svc.submit(JobSpec::new(
+        "tenant-late",
+        topo(),
+        Arc::new(FailLateJob {
+            inner: Arc::clone(&jobs[2]),
+            rank: RANKS - 1,
+        }) as Arc<dyn JobLogic>,
+    ));
+    let first = svc.run_pending();
+    expect_ok(&first[..2], &jobs[..2], "round 1 bystanders");
+    let late = first[2]
+        .outcome
+        .as_ref()
+        .expect_err("the late tenant fails");
+    assert!(late.message.contains("after its last exchange"), "{late}");
+    for round in 2..=3 {
+        submit_all(&mut svc, &jobs);
+        expect_ok(&svc.run_pending(), &jobs, &format!("round {round}"));
+    }
+}
+
+/// Two shapes alternate round by round: FullNeighbor on one hierarchy,
+/// `Auto` on another. Each plan recycles its own contexts, every round is
+/// byte-identical, and the channel registry stops growing once both
+/// shapes are warm.
+#[test]
+fn alternating_shapes_keep_the_registry_flat() {
+    let shapes = [
+        (jobs_on(16, 8, 3), Backend::Protocol(Protocol::FullNeighbor)),
+        (jobs_on(20, 10, 3), Backend::Auto),
+    ];
+    let mut svc = SolveService::new(RANKS);
+    let mut warm = None;
+    for round in 0..8 {
+        let (jobs, backend) = &shapes[round % 2];
+        for (k, job) in jobs.iter().enumerate() {
+            svc.submit(
+                JobSpec::new(
+                    format!("tenant-{k}"),
+                    topo(),
+                    Arc::clone(job) as Arc<dyn JobLogic>,
+                )
+                .backend(*backend),
+            );
+        }
+        expect_ok(&svc.run_pending(), jobs, &format!("round {round}"));
+        if round == 1 {
+            warm = Some(svc.pool().registered_channels());
+        }
+    }
+    assert_eq!(svc.cached_plans(), 2);
+    assert_eq!(
+        Some(svc.pool().registered_channels()),
+        warm,
+        "the registry grew after both shapes were warm"
     );
 }
 
