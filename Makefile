@@ -1,6 +1,6 @@
 # Developer entry points. `make tier1` mirrors the CI verify exactly.
 
-.PHONY: tier1 build test test-all test-chaos test-sock test-tuner test-serve test-soak fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service bench-repo-smoke
+.PHONY: tier1 build test test-all test-chaos test-shm test-sock test-tuner test-serve test-soak fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service bench-repo-smoke
 
 tier1: ## the repository's tier-1 verify
 	cargo build --release && cargo test -q
@@ -19,6 +19,14 @@ test-all:
 # lifecycles, deadline aborts with stall forensics
 test-chaos:
 	cargo test --test chaos -q
+
+# the shm fabric's multi-process acceptance suite (DESIGN.md §8/§9):
+# process worlds byte-identical to the thread transport (mixed traffic and
+# the AMG pipeline), worker death and fault-plan kills contained loudly,
+# pre-attach respawn, one process-world launch per execution, no leaked
+# /dev/shm segments
+test-shm:
+	cargo test --test shm_process -q
 
 # the socket fabric's acceptance suite (DESIGN.md §10): multi-process
 # worlds over UDS and TCP byte-identical to the thread transport, link

@@ -5,8 +5,8 @@
 //! * `process_<backend>`: ranks are **real OS processes** on the
 //!   cross-process shared-memory fabric ([`World::spawn_processes`]).
 //!   This binary re-execs itself once per worker rank; workers loop in
-//!   [`ProcWorld::serve`] over a fixed job table while rank 0 drives one
-//!   [`ProcWorld::epoch_job`] per criterion iteration, so the measured
+//!   [`ProcessWorld::serve`] over a fixed job table while rank 0 drives
+//!   one [`ProcessWorld::epoch_job`] per criterion iteration, so the measured
 //!   cost is the epoch protocol plus the exchange itself — no process
 //!   spawning on the hot path.
 //! * `thread_<backend>`: the identical body on one warm in-process pool
@@ -35,7 +35,7 @@ use bench_suite::workload::{level_patterns, paper_hierarchy};
 use criterion::{BenchmarkId, Criterion};
 use locality::Topology;
 use mpi_advance::{CommPattern, NeighborAlltoallv, Protocol};
-use mpisim::{ProcWorld, RankCtx, World};
+use mpisim::{ProcessWorld, RankCtx, World};
 
 /// One entry of the workers' serve-job table (borrows the collectives).
 type Job<'a> = Box<dyn Fn(&mut RankCtx) + 'a>;
@@ -82,7 +82,7 @@ fn steady_body(coll: &NeighborAlltoallv, ctx: &mut RankCtx) -> f64 {
     output.first().copied().unwrap_or(0.0)
 }
 
-fn bench_transport(c: &mut Criterion, world: &ProcWorld, colls: &[(String, NeighborAlltoallv)]) {
+fn bench_transport(c: &mut Criterion, world: &ProcessWorld, colls: &[(String, NeighborAlltoallv)]) {
     let mut group = c.benchmark_group("steady_state_8proc");
     group.sample_size(10);
 

@@ -64,5 +64,4 @@ pub use stall::{LinkStatus, PeerStatus, RankWait, StallReport};
 pub use state::{ChanId, ChanRegistrar};
 pub use topology::{DistGraphComm, GraphCreateStrategy};
 pub use transport::fault::FaultPlan;
-pub use transport::proc::ProcWorld;
-pub use transport::sock::world::SockWorld;
+pub use transport::process::ProcessWorld;

@@ -1,11 +1,16 @@
 //! Launching SPMD worlds: one-shot scoped worlds ([`World::run`]) and
 //! pooled persistent worlds ([`WorldPool`]) that keep their rank threads —
-//! and their pre-matched channel registry — warm across closures.
+//! and their pre-matched channel registry — warm across closures. Worlds
+//! whose ranks are OS processes ([`World::spawn_processes`],
+//! [`World::spawn_sock`]) are [`ProcessWorld`]s (`transport/process.rs`).
 
 use crate::ctx::RankCtx;
 use crate::state::{ModelCtx, WorldState};
 use crate::transport::fault::{FaultPlan, FaultTransport};
+use crate::transport::process::ProcessWorld;
+use crate::transport::shm::boot::ShmBoot;
 use crate::transport::shm::ShmTransport;
+use crate::transport::sock::boot::SockBoot;
 use crate::transport::sock::SockTransport;
 use crate::transport::thread::ThreadTransport;
 use crate::transport::Transport;
@@ -56,7 +61,7 @@ fn panic_message(p: &(dyn Any + Send)) -> String {
 /// Build a world state over `inner`, wrapped by a fault plan when one is
 /// given (or found in `MPISIM_FAULTS`). The wait deadline resolves as:
 /// plan's `deadline_ms` override, else `MPISIM_DEADLINE_MS`.
-fn faulted_state(
+pub(crate) fn faulted_state(
     n_ranks: usize,
     model: Option<ModelCtx>,
     inner: Arc<dyn Transport>,
@@ -182,22 +187,23 @@ impl World {
     }
 
     /// Launch `n_ranks` as separate OS processes over the socket fabric
-    /// and return this process's [`crate::SockWorld`] handle. Rank 0 (the
+    /// and return this process's [`ProcessWorld`] handle. Rank 0 (the
     /// caller) re-execs itself `n_ranks - 1` times in a hidden worker
     /// mode; workers rendezvous over the driver's listening socket, mesh
-    /// up, and never return from this call's epoch loop. See
-    /// [`crate::SockWorld`] for the epoch protocol.
-    pub fn spawn_sock(n_ranks: usize) -> crate::SockWorld {
-        crate::SockWorld::launch(n_ranks)
+    /// up, and never return past the world. See [`ProcessWorld`] for the
+    /// epoch protocol; one process world per process execution.
+    pub fn spawn_sock(n_ranks: usize) -> ProcessWorld {
+        ProcessWorld::launch::<SockBoot>(n_ranks)
     }
 
     /// Launch `n_ranks` as separate OS processes over the shared-memory
-    /// fabric and return this process's [`crate::ProcWorld`] handle. Rank 0
+    /// fabric and return this process's [`ProcessWorld`] handle. Rank 0
     /// (the caller) re-execs itself `n_ranks - 1` times in a hidden worker
-    /// mode; workers never return from this call's epoch loop. See
-    /// [`crate::ProcWorld`] for the epoch protocol.
-    pub fn spawn_processes(n_ranks: usize) -> crate::ProcWorld {
-        crate::ProcWorld::launch(n_ranks)
+    /// mode; workers attach to its segment and never return past the
+    /// world. See [`ProcessWorld`] for the epoch protocol; one process
+    /// world per process execution.
+    pub fn spawn_processes(n_ranks: usize) -> ProcessWorld {
+        ProcessWorld::launch::<ShmBoot>(n_ranks)
     }
 
     /// Run with a cost model attached: each rank's virtual clock advances
@@ -253,13 +259,6 @@ impl World {
     /// [`World::pool_with_faults`] over the socket fabric.
     pub fn pool_with_faults_sock(n_ranks: usize, plan: FaultPlan) -> WorldPool {
         WorldPool::launch(sock_state(n_ranks, Some(plan)))
-    }
-
-    /// Pooled counterpart of [`World::run_modeled`]; each epoch's virtual
-    /// clocks start from zero.
-    pub fn pool_modeled(topo: Topology, model: Arc<dyn CostModel>) -> WorldPool {
-        let n = topo.n_ranks();
-        WorldPool::launch(thread_state(n, Some(ModelCtx { model, topo }), None))
     }
 
     fn launch<F, R>(state: Arc<WorldState>, f: F) -> Vec<R>
@@ -762,28 +761,6 @@ mod tests {
             }
         });
         assert_eq!(out[1], 1111 + 2222 + 3333);
-    }
-
-    #[test]
-    fn pool_modeled_clocks_reset_per_epoch() {
-        use perfmodel::PostalModel;
-        let topo = Topology::block_nodes(2, 1);
-        let model = Arc::new(PostalModel::new(1e-6, 1e-9));
-        let pool = World::pool_modeled(topo, model);
-        let expect = 1e-6 + 1000.0 * 1e-9;
-        for _ in 0..2 {
-            let clocks = pool.run(|ctx| {
-                let comm = ctx.comm_world();
-                if ctx.rank() == 0 {
-                    ctx.send(&comm, 1, 0, &[0u8; 1000]);
-                } else {
-                    let _: Vec<u8> = ctx.recv(&comm, 0, 0);
-                }
-                ctx.clock()
-            });
-            // fresh RankCtx per epoch: clocks do not accumulate across runs
-            assert!((clocks[1] - expect).abs() < 1e-12);
-        }
     }
 
     #[test]

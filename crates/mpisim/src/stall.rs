@@ -133,7 +133,7 @@ pub struct StallReport {
     pub epoch: u64,
     /// Rank known to have died/panicked, when the transport recorded one.
     pub dead_rank: Option<usize>,
-    /// Every locally-observable parked wait. Under `ProcWorld` this
+    /// Every locally-observable parked wait. Under a `ProcessWorld` this
     /// covers only the reporting process's rank; under thread worlds it
     /// covers all ranks.
     pub waits: Vec<RankWait>,

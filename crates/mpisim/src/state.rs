@@ -781,23 +781,9 @@ impl WaitGuard<'_> {
         // a rank that absorbed the epoch's death marker (service-layer
         // tenant recovery) keeps waiting — its scheduler already knows;
         // everyone else aborts loudly
-        if !self.world.absorbed_failure[self.rank].load(Ordering::Acquire) {
-            if let Some(msg) = self.world.transport.peer_failure() {
-                panic!("{msg}\n{}", self.world.stall_report());
-            }
-        }
-        if let Some(ms) = self.world.deadline_ms {
-            let waited = self.start.elapsed().as_millis() as u64;
-            if waited >= ms {
-                panic!(
-                    "wait deadline of {ms} ms (MPISIM_DEADLINE_MS) expired after \
-                     {waited} ms blocked in {} on rank {}\n{}",
-                    self.kind,
-                    self.rank,
-                    self.world.stall_report()
-                );
-            }
-        }
+        let peers = !self.world.absorbed_failure[self.rank].load(Ordering::Acquire);
+        self.world
+            .check_stall(self.rank, self.kind, self.start, peers);
     }
 }
 
@@ -900,14 +886,31 @@ impl WorldState {
         }
     }
 
+    /// The abort half of every stall probe: when `peers` is set, panic
+    /// with a [`StallReport`] if a peer rank died; past the world's
+    /// deadline, panic with the report naming the wait (`kind`, blocked
+    /// since `start`) instead of blocking forever.
+    pub(crate) fn check_stall(&self, rank: usize, kind: &str, start: Instant, peers: bool) {
+        if peers {
+            if let Some(msg) = self.transport.peer_failure() {
+                panic!("{msg}\n{}", self.stall_report());
+            }
+        }
+        if let Some(ms) = self.deadline_ms {
+            let waited = start.elapsed().as_millis() as u64;
+            if waited >= ms {
+                panic!(
+                    "wait deadline of {ms} ms (MPISIM_DEADLINE_MS) expired after \
+                     {waited} ms blocked in {kind} on rank {rank}\n{}",
+                    self.stall_report()
+                );
+            }
+        }
+    }
+
     /// Mirror the driver's epoch counter into stall forensics.
     pub(crate) fn set_epoch(&self, epoch: u64) {
         self.epoch.store(epoch, Ordering::Relaxed);
-    }
-
-    /// The world's wait deadline, if one is configured.
-    pub(crate) fn deadline_ms(&self) -> Option<u64> {
-        self.deadline_ms
     }
 
     /// Fault-injection hook for ops that bypass the transport trait

@@ -274,14 +274,6 @@ impl FaultTransport {
         t
     }
 
-    /// Wrap `inner` under the `MPISIM_FAULTS` plan, if one is set.
-    pub(crate) fn wrap_env(n_ranks: usize, inner: Arc<dyn Transport>) -> Arc<dyn Transport> {
-        match FaultPlan::from_env() {
-            Some(plan) => Self::wrap(n_ranks, plan, inner),
-            None => inner,
-        }
-    }
-
     fn chance(&self, salt: u64, rank: usize, op: u64, permille: u16) -> Option<u64> {
         if permille == 0 {
             return None;

@@ -18,12 +18,12 @@
 //!   serialized to bytes at the send boundary (plain-old-data element
 //!   types only).
 //!
-//! [`proc::ProcWorld`] runs ranks as re-exec'd worker processes over the
-//! shm fabric with the same closure-per-epoch protocol as
-//! [`crate::WorldPool`].
+//! [`crate::ProcessWorld`] runs ranks as re-exec'd worker processes over
+//! the shm or sock fabric (each fabric's `Bootstrap`) with the same
+//! closure-per-epoch protocol as [`crate::WorldPool`].
 
 pub mod fault;
-pub mod proc;
+pub(crate) mod process;
 pub mod shm;
 pub mod sock;
 pub(crate) mod thread;

@@ -14,6 +14,7 @@
 //! fabric under test without process management) and ranks as separate
 //! OS processes ([`crate::World::spawn_processes`]).
 
+pub(crate) mod boot;
 pub(crate) mod futex;
 pub(crate) mod ring;
 pub(crate) mod segment;

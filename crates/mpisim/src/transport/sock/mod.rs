@@ -9,7 +9,8 @@
 //!   [`crate::World::run`] / [`crate::WorldPool`]). This is the
 //!   equivalence surface: the full wire path runs in-process.
 //! * **multi-process** ([`SockTransport::bind`]) — one rank per OS
-//!   process, meshed via rendezvous bootstrap ([`world::SockWorld`]).
+//!   process, meshed via rendezvous bootstrap (`boot::SockBoot` under
+//!   [`crate::ProcessWorld`]).
 //!
 //! Failure semantics (the point of this fabric — DESIGN.md §10): connects
 //! retry with capped exponential backoff + jitter; idle links carry
@@ -20,8 +21,8 @@
 //! every blocked wait observes through `peer_failure` within one stall
 //! probe and degrades to a loud abort / [`crate::EpochError`].
 
+pub(crate) mod boot;
 pub(crate) mod link;
-pub(crate) mod world;
 
 use super::wire::{decode_envelope, encode_env_hdr};
 use super::{ChanFabric, PayloadMode, Transport, TransportForensics};
@@ -40,14 +41,14 @@ use std::time::{Duration, Instant};
 
 const NO_RANK: usize = usize::MAX;
 
-/// Control-plane inbox: epoch commands, completions, death notices, and
-/// bootstrap join/table traffic, deposited by reader threads and consumed
-/// by [`world::SockWorld`].
+/// Control-plane inbox: epoch commands, completions, and bootstrap
+/// join/table traffic, deposited by reader threads and consumed by
+/// `boot::SockBoot`. (Death notices raise the transport's flag and wake
+/// [`Ctrl::cv`]; they leave nothing here.)
 #[derive(Default)]
 pub(crate) struct CtrlState {
     pub cmds: VecDeque<u64>,
     pub dones: Vec<(usize, u64)>,
-    pub deaths: Vec<usize>,
     pub joins: Vec<(usize, String)>,
     pub table: Option<Vec<String>>,
 }
@@ -130,7 +131,7 @@ impl SockTransport {
     }
 
     /// One rank per process: bind a listener and create unconnected links
-    /// to every peer. [`world::SockWorld`] drives the rendezvous dialing.
+    /// to every peer. `boot::SockBoot` drives the rendezvous dialing.
     pub(crate) fn bind(my_proc: usize, n_procs: usize, listen_spec: &str) -> Arc<SockTransport> {
         Self::bind_inner(n_procs, my_proc, n_procs, listen_spec)
     }
@@ -399,7 +400,6 @@ impl SockTransport {
             K_DEATH => {
                 let rank = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
                 self.note_rank_panic(Some(rank));
-                self.ctrl.st.lock().deaths.push(rank);
                 self.ctrl.cv.notify_all();
             }
             K_FLUSH => {

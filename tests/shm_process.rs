@@ -1,11 +1,11 @@
 //! Acceptance tests for the cross-process shared-memory fabric: ranks as
-//! real OS processes over `ProcWorld`.
+//! real OS processes in a `ProcessWorld` over the shm fabric.
 //!
 //! `harness = false`: the binary dispatches on its first argument. With no
 //! recognized scenario it is the orchestrator — it re-runs itself once per
 //! scenario as a subprocess (each scenario process becomes rank 0 of its
 //! own process world and re-execs the remaining ranks, which land back in
-//! `main` with the same argument). This keeps `ProcWorld::launch`'s
+//! `main` with the same argument). This keeps the process launcher's
 //! one-launch-per-process rule intact while letting one `cargo test`
 //! invocation cover all scenarios.
 //!
@@ -25,6 +25,10 @@
 //! - `faultkill`: `MPISIM_FAULTS` kills a non-driver rank at a chosen
 //!   transport op; the watchdog and pid sweeps must end the world loudly
 //!   within the fault plan's deadline.
+//! - `relaunch`: after a 2-rank shm world has run and shut down, a second
+//!   launch — over the *other* fabric, `World::spawn_sock` — must panic
+//!   with the launch guard's message instead of re-exec'ing workers that
+//!   would re-enter `main` as drivers of their own worlds.
 //!
 //! The orchestrator also snapshots `/dev/shm` around the whole suite and
 //! fails if any `mpisim-*` segment leaks past its world's lifetime.
@@ -44,6 +48,7 @@ fn main() {
         Some("death") => scenario_death(),
         Some("respawn") => scenario_respawn(),
         Some("faultkill") => scenario_faultkill(),
+        Some("relaunch") => scenario_relaunch(),
         // debug helper, not part of the orchestrated suite: the amg
         // scenario's thread-transport reference on its own
         Some("amgthread") => {
@@ -70,6 +75,8 @@ fn orchestrate() {
     run_scenario("respawn", true);
     // a fault-plan kill of a non-driver rank also ends the world loudly
     run_scenario("faultkill", false);
+    // one process world per execution, whichever fabrics are asked for
+    run_scenario("relaunch", true);
     // no world may leak its /dev/shm segment — not even the aborted ones
     // (driver-side unlink after the attach barrier + Drop cover them)
     let leaked: Vec<String> = shm_segments()
@@ -360,4 +367,33 @@ fn scenario_faultkill() {
         unreachable!("rank {} outlived the fault plan's kill", ctx.rank());
     });
     unreachable!("the epoch with a killed rank reported success");
+}
+
+// ---- relaunch -------------------------------------------------------------
+
+/// One launch guard for both process fabrics: a shm world that ran and
+/// shut down still forbids a later socket world in the same execution.
+fn scenario_relaunch() {
+    let world = World::spawn_processes(2);
+    let ranks = world.run(|ctx| ctx.size());
+    assert_eq!(ranks, 2);
+    drop(world); // workers exit here; only the driver goes on
+                 // the guard's panic is the expected outcome: keep it off stderr
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let relaunch = std::panic::catch_unwind(|| World::spawn_sock(2));
+    std::panic::set_hook(hook);
+    let payload = match relaunch {
+        Ok(_) => panic!("a second process world launched in one execution"),
+        Err(p) => p,
+    };
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(
+        msg.contains("a process world was already launched in this process execution"),
+        "unexpected relaunch panic: {msg:?}"
+    );
 }

@@ -1,11 +1,12 @@
-//! Acceptance tests for the socket fabric: ranks as real OS processes over
-//! `SockWorld`, meshed with stream sockets (UDS by default, TCP on demand).
+//! Acceptance tests for the socket fabric: ranks as real OS processes in a
+//! `ProcessWorld`, meshed with stream sockets (UDS by default, TCP on
+//! demand).
 //!
 //! `harness = false`: the binary dispatches on its first argument. With no
 //! recognized scenario it is the orchestrator — it re-runs itself once per
 //! scenario as a subprocess (each scenario process becomes rank 0 of its
 //! own socket world and re-execs the remaining ranks, which land back in
-//! `main` with the same argument). This keeps `SockWorld::launch`'s
+//! `main` with the same argument). This keeps the process launcher's
 //! one-launch-per-process rule intact while letting one `cargo test`
 //! invocation cover all scenarios.
 //!
